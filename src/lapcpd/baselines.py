@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .detector import AnomalyScoreSeries, normal_behavior
-from .graphs import GraphSnapshot
+from .graphs import GraphSnapshot, map_distinct
 from .spectral import DENSE_ORACLE_LIMIT, DenseLimitError, fix_sign
 
 __all__ = [
@@ -51,12 +51,12 @@ def activity_detect(view: Sequence[GraphSnapshot], w_short) -> AnomalyScoreSerie
 
     The context/normal-behavior/score machinery matches the spectrum-based
     detector; only the embedding and the single window differ.  Startup is
-    the first ``w_short`` steps.
+    the first ``w_short`` steps.  Each distinct snapshot is embedded once.
     """
     T = len(view)
     if T <= w_short:
         raise ValueError("sequence must be longer than the window")
-    vectors = [activity_vector(g) for g in view]
+    vectors = map_distinct(activity_vector, view)
     z = np.zeros(T)
     z_star = np.zeros(T)
     for t in range(w_short, T):

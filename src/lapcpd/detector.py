@@ -15,7 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import GraphSnapshot, normalized_laplacian, unnormalized_laplacian
+from .graphs import (
+    GraphSnapshot,
+    map_distinct,
+    normalized_laplacian,
+    unnormalized_laplacian,
+)
 from .spectral import dominant_left_singular_vector, top_k_singular_values
 
 __all__ = [
@@ -188,9 +193,11 @@ def score_from_unit_signatures(unit_sigs, w_short, w_long) -> AnomalyScoreSeries
 def lad_detect(view: Sequence[GraphSnapshot], cfg: DetectorConfig, rng=None):
     """Score a single-view snapshot sequence.
 
-    Signatures are computed per step, L2-normalized, and folded through
-    :func:`score_from_unit_signatures`.  Ranking time steps by descending
-    ``z_star`` is the detector's output ordering.
+    Signatures are computed once per distinct snapshot, L2-normalized, and
+    folded through :func:`score_from_unit_signatures`.  Ranking time steps
+    by descending ``z_star`` is the detector's output ordering.  A live
+    ``np.random.Generator`` passed as ``rng`` is advanced once per distinct
+    snapshot that takes the Lanczos route, not once per step.
     """
     if len(view) <= cfg.w_long:
         raise ValueError("sequence must be longer than the long window")
@@ -198,8 +205,9 @@ def lad_detect(view: Sequence[GraphSnapshot], cfg: DetectorConfig, rng=None):
     resolved = DetectorConfig(
         cfg.w_short, cfg.w_long, k, cfg.laplacian, cfg.tol, cfg.shift
     )
-    sigs = [signature(g, resolved, rng=rng) for g in view]
-    unit = [normalize_signature(s) for s in sigs]
+    unit = map_distinct(
+        lambda g: normalize_signature(signature(g, resolved, rng=rng)), view
+    )
     return score_from_unit_signatures(unit, cfg.w_short, cfg.w_long)
 
 

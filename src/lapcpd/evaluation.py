@@ -25,7 +25,7 @@ from .detector import (
     signature,
 )
 from .generators import GenConfig, generate_experiment
-from .graphs import DynamicGraph, GraphSnapshot
+from .graphs import DynamicGraph, GraphSnapshot, map_distinct
 from .multiview import PowerMeanConfig, power_mean_spectrum
 
 __all__ = [
@@ -167,14 +167,12 @@ class ExperimentSpec:
 
 
 def _raw_spectra(graph: DynamicGraph, kind, det: DetectorConfig, k):
+    # (m, T, k) signatures, one solve per distinct snapshot of the grid.
     cfg = DetectorConfig(det.w_short, det.w_long, k, kind, det.tol, shift=0.0)
     m = graph.num_views
-    T = graph.num_steps
-    arr = np.empty((m, T, k))
-    for t, row in enumerate(graph.snapshots):
-        for r, g in enumerate(row):
-            arr[r, t] = signature(g, cfg)
-    return arr
+    snapshots = [g for r in range(m) for g in graph.view(r)]
+    sigs = map_distinct(lambda g: signature(g, cfg), snapshots)
+    return np.array(sigs).reshape(m, graph.num_steps, k)
 
 
 def _series_from_spectra(spectra, w_short, w_long):

@@ -234,14 +234,19 @@ def apply_continuity(prev: GraphSnapshot, model_sample: GraphSnapshot, rho, rng)
 
     Each unordered pair keeps the previous snapshot's state with
     probability ``rho`` and takes the sample's state otherwise, so
-    ``rho=1`` freezes the graph and ``rho=0`` resamples it fully.
+    ``rho=1`` freezes the graph (``prev`` itself is returned) and ``rho=0``
+    resamples it fully.  The same ``n x n`` uniforms are drawn for every
+    ``rho``, so later draws from ``rng`` do not depend on it.
     """
     if prev.n != model_sample.n:
         raise ValueError("snapshots must share the node count")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"continuity rate must be in [0, 1], got {rho}")
     n = prev.n
-    keep = (rng.random((n, n)) < rho) & _pair_mask(n)
+    draws = rng.random((n, n))
+    if rho == 1.0:
+        return prev
+    keep = (draws < rho) & _pair_mask(n)
     keep = keep | keep.T
     out = np.where(keep, prev.to_dense(), model_sample.to_dense())
     return GraphSnapshot.from_dense(out)

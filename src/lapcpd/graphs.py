@@ -14,7 +14,9 @@ two orientations of the same pair are summed into a single undirected edge.
 
 from __future__ import annotations
 
+import hashlib
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +28,7 @@ __all__ = [
     "EdgeStreamParseError",
     "GraphSnapshot",
     "DynamicGraph",
+    "map_distinct",
     "parse_edge_stream",
     "write_edge_stream",
     "unnormalized_laplacian",
@@ -47,8 +50,8 @@ class EdgeStreamParseError(ValueError):
 class EdgeRecord:
     """One undirected edge observation at a (time, view) cell.
 
-    ``weight`` must be strictly positive; ``src``/``dst`` must fall inside
-    the declared node universe when one is given.
+    ``weight`` must be finite and strictly positive; ``src``/``dst`` must
+    fall inside the declared node universe when one is given.
     """
 
     time: int
@@ -60,19 +63,21 @@ class EdgeRecord:
     def __post_init__(self):
         if self.time < 0 or self.view < 0 or self.src < 0 or self.dst < 0:
             raise ValueError(f"negative index in edge record {self}")
-        if not self.weight > 0:
-            raise ValueError(f"edge weight must be > 0, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"edge weight must be finite and > 0, got {self.weight}")
 
 
 class GraphSnapshot:
     """Undirected weighted graph on ``n`` nodes for one (time, view) cell.
 
-    The adjacency is stored as a symmetric CSR matrix with a zero diagonal
+    The adjacency is stored as a canonical CSR matrix (sorted indices, no
+    duplicates, no explicit zeros) that is symmetric, has a zero diagonal
     and strictly positive weights.  Instances are immutable by convention:
-    no method mutates the stored matrix.
+    no method mutates the stored matrix.  Equality and hashing go by that
+    content, so snapshots with equal graphs are interchangeable dict keys.
     """
 
-    __slots__ = ("n", "adjacency")
+    __slots__ = ("n", "adjacency", "_content_key")
 
     def __init__(self, n, adjacency, validate=True):
         adjacency = sp.csr_matrix(adjacency, shape=(n, n), dtype=np.float64)
@@ -87,6 +92,7 @@ class GraphSnapshot:
                 raise ValueError("edge weights must be strictly positive")
         self.n = int(n)
         self.adjacency = adjacency
+        self._content_key = None
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -143,13 +149,59 @@ class GraphSnapshot:
     def is_unit_weighted(self):
         return bool(np.all(self.adjacency.data == 1.0))
 
+    @property
+    def content_key(self):
+        """Digest of ``n`` and the canonical CSR arrays, computed once.
+
+        Index arrays are hashed as int64, so equal graphs get equal keys
+        whatever index dtype scipy chose.  Equal keys do not prove equal
+        graphs; ``==`` compares the arrays themselves.
+        """
+        if self._content_key is None:
+            self._content_key = _content_digest(self.n, self.adjacency)
+        return self._content_key
+
     def __eq__(self, other):
         if not isinstance(other, GraphSnapshot):
             return NotImplemented
-        return self.n == other.n and (self.adjacency != other.adjacency).nnz == 0
+        a, b = self.adjacency, other.adjacency
+        return (
+            self.n == other.n
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data)
+        )
+
+    def __hash__(self):
+        return hash(self.content_key)
 
     def __repr__(self):
         return f"GraphSnapshot(n={self.n}, edges={self.num_edges})"
+
+
+def _content_digest(n, adjacency):
+    digest = hashlib.blake2b(np.int64(n).tobytes(), digest_size=16)
+    digest.update(np.asarray(adjacency.indptr, dtype=np.int64).tobytes())
+    digest.update(np.asarray(adjacency.indices, dtype=np.int64).tobytes())
+    digest.update(adjacency.data.tobytes())
+    return digest.digest()
+
+
+def map_distinct(fn, snapshots):
+    """``[fn(g) for g in snapshots]``, calling ``fn`` once per distinct graph.
+
+    Snapshots are matched by content (:meth:`GraphSnapshot.__eq__`), so
+    ``fn`` must depend on the graph alone: a repeated snapshot gets the very
+    object computed for its first occurrence.  The memo lives for this call
+    only.
+    """
+    memo = {}
+    out = []
+    for g in snapshots:
+        if g not in memo:
+            memo[g] = fn(g)
+        out.append(memo[g])
+    return out
 
 
 class DynamicGraph:
@@ -208,8 +260,8 @@ def _parse_line(line, line_no):
         raise EdgeStreamParseError(str(exc), line_no) from None
     if t < 0 or r < 0 or i < 0 or j < 0:
         raise EdgeStreamParseError("indices must be non-negative", line_no)
-    if not w > 0:
-        raise EdgeStreamParseError(f"weight must be > 0, got {w}", line_no)
+    if not (math.isfinite(w) and w > 0):
+        raise EdgeStreamParseError(f"weight must be finite and > 0, got {w}", line_no)
     return t, r, i, j, w
 
 

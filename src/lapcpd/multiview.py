@@ -24,7 +24,7 @@ from .detector import (
     score_from_unit_signatures,
     signature,
 )
-from .graphs import DynamicGraph
+from .graphs import DynamicGraph, map_distinct
 
 __all__ = [
     "PowerMeanConfig",
@@ -116,16 +116,26 @@ def _resolve_k(graph: DynamicGraph, det: DetectorConfig):
 
 
 def multilad_spectra(graph: DynamicGraph, det: DetectorConfig, pm: PowerMeanConfig, rng=None):
-    """Aggregated (shifted) power mean spectrum per time step, shape (T, k)."""
+    """Aggregated (shifted) power mean spectrum per time step, shape (T, k).
+
+    Each distinct snapshot of the grid is solved once; a live
+    ``np.random.Generator`` passed as ``rng`` advances once per distinct
+    snapshot that takes the Lanczos route.
+    """
     if det.laplacian != "normalized":
         raise ValueError("multi-view detection is defined on the normalized Laplacian")
     k = _resolve_k(graph, det)
     per_view_cfg = DetectorConfig(
         det.w_short, det.w_long, k, "normalized", det.tol, shift=0.0
     )
+    sigs = map_distinct(
+        lambda g: signature(g, per_view_cfg, rng=rng),
+        [g for row in graph.snapshots for g in row],
+    )
+    m = graph.num_views
     out = np.empty((graph.num_steps, k))
-    for t, row in enumerate(graph.snapshots):
-        shifted = [signature(g, per_view_cfg, rng=rng) + pm.epsilon for g in row]
+    for t in range(graph.num_steps):
+        shifted = [s + pm.epsilon for s in sigs[t * m : (t + 1) * m]]
         out[t] = power_mean_spectrum(shifted, pm)
     return out
 

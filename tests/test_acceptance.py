@@ -8,6 +8,7 @@ dominate the runtime (the whole suite is a ~15-25 minute desktop run).
 import time
 
 import numpy as np
+import pytest
 
 from lapcpd.baselines import activity_detect
 from lapcpd.cli import main as cli_main
@@ -51,6 +52,8 @@ from lapcpd.schedules import (
 )
 from lapcpd.spectral import dense_spectrum_oracle, top_k_singular_values
 from lapcpd.detector import AnomalyScoreSeries, z_score
+
+pytestmark = pytest.mark.slow
 
 DET = DetectorConfig(w_short=5, w_long=10)
 PM = PowerMeanConfig(-10.0)

@@ -165,6 +165,17 @@ class TestDetect:
             str(tmp_path / "s.csv"), "--view", "5",
         ]) == 2
 
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    def test_non_finite_weight_exit_2(self, tmp_path, capsys, weight):
+        lines = [f"{t},0,0,1,1.0\n{t},0,1,2,1.0" for t in range(12)]
+        lines[3] = f"3,0,0,1,{weight}"
+        data = tmp_path / "bad.csv"
+        data.write_text("# time,view,src,dst,weight\n" + "\n".join(lines) + "\n")
+        assert main(["detect", str(data), "--method", "lad",
+                     "--out", str(tmp_path / "s.csv"), "--ws", "3", "--wl", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "line 8: weight must be finite" in err
+
     def test_unknown_method_exit_2(self, generated, tmp_path):
         data, _ = generated
         code = None

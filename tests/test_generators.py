@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lapcpd.generators
 from lapcpd.generators import (
     AnomalySchedule,
     BaSegment,
@@ -14,6 +15,17 @@ from lapcpd.generators import (
     sbm_snapshot,
 )
 from lapcpd.graphs import GraphSnapshot
+from lapcpd.schedules import pure_setting
+
+
+def dense_continuity(prev, model_sample, rho, rng):
+    """Reference blend: the dense per-pair formula for every ``rho``."""
+    n = prev.n
+    keep = np.triu(rng.random((n, n)) < rho, k=1)
+    keep = keep | keep.T
+    return GraphSnapshot.from_dense(
+        np.where(keep, prev.to_dense(), model_sample.to_dense())
+    )
 
 
 def bfs_reachable(adj, start):
@@ -106,6 +118,14 @@ class TestApplyContinuity:
             fractions.append(out.num_edges / n_pairs)
         sigma_of_mean = np.sqrt(0.9 * 0.1 / total_pairs)
         assert abs(np.mean(fractions) - 0.9) <= 4 * sigma_of_mean
+
+    @pytest.mark.parametrize("rho", [1.0, 0.9])
+    def test_matches_dense_blend_and_its_stream(self, rho):
+        prev, sample, rng = self.make_pair()
+        _, _, ref_rng = self.make_pair()
+        out = apply_continuity(prev, sample, rho, rng)
+        assert out == dense_continuity(prev, sample, rho, ref_rng)
+        assert rng.random() == ref_rng.random()
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -276,6 +296,18 @@ class TestGenerateExperiment:
         assert view[6] != view[5]  # event resamples
         assert view[7] != view[6]  # revert resamples too
         assert all(view[t] == view[7] for t in range(8, 12))
+
+    @pytest.mark.parametrize("preset", ["pure_setting", "frozen_with_noise"])
+    def test_graphs_match_dense_continuity(self, monkeypatch, preset):
+        if preset == "pure_setting":
+            schedule, cfg = pure_setting(seed=3)
+        else:
+            schedule = self.small_schedule()
+            cfg = GenConfig(n_nodes=24, n_views=2, continuity=1.0, noise=0.05, seed=9)
+        graph, _ = generate_experiment(schedule, cfg)
+        monkeypatch.setattr(lapcpd.generators, "apply_continuity", dense_continuity)
+        reference, _ = generate_experiment(schedule, cfg)
+        assert graph.snapshots == reference.snapshots
 
     def test_ba_schedule(self):
         rows = [

@@ -51,6 +51,11 @@ class TestEdgeRecord:
         with pytest.raises(ValueError):
             EdgeRecord(0, 0, 1, 2, weight)
 
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            EdgeRecord(0, 0, 1, 2, weight)
+
     def test_negative_index(self):
         with pytest.raises(ValueError):
             EdgeRecord(-1, 0, 1, 2, 1.0)
@@ -120,6 +125,11 @@ class TestParseEdgeStream:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(EdgeStreamParseError):
             parse_edge_stream("0,0,0,1,0.0")
+
+    @pytest.mark.parametrize("weight", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_weight_reports_number(self, weight):
+        with pytest.raises(EdgeStreamParseError, match="line 2: weight must be finite"):
+            parse_edge_stream(f"0,0,0,1,1.0\n0,0,1,2,{weight}\n")
 
     def test_node_universe_enforced(self):
         with pytest.raises(EdgeStreamParseError):
